@@ -1,16 +1,13 @@
-"""Simulator backends — three-way dynamic-cycle throughput comparison.
+"""Simulator backends — dynamic-cycle throughput comparison.
 
 Each kernel is scheduled once; the resulting context program then runs
-through the interpreter, the AOT-compiled executor and the batched
-vector backend, and the dynamic-cycle throughput (simulated cycles per
-wall-clock second) of each is recorded in ``extra_info``.  Two headline
-assertions on the paper's evaluation kernel: the AOT-compiled executor
-must simulate ADPCM at >= 3x the interpreter's throughput *including*
-its one-off compile time (and that compile time must amortise within a
-single Table II grid cell), and the vector backend must push a
-64-invocation ADPCM batch at >= 5x the compiled backend's aggregate
-throughput.  The batch sweep over {1, 8, 64} lanes lands in the
-snapshot as the measured scaling curve.
+through the interpreter and the AOT-compiled executor, and the
+dynamic-cycle throughput (simulated cycles per wall-clock second) of
+each is recorded in ``extra_info``.  Headline assertion on the paper's
+evaluation kernel: the AOT-compiled executor must simulate ADPCM at
+>= 3x the interpreter's throughput *including* its one-off compile time
+(and that compile time must amortise within a single Table II grid
+cell).
 """
 
 import time
@@ -21,8 +18,7 @@ from repro.eval.tables import adpcm_workload
 from repro.kernels import crc32, dotp, gcd, sort
 from repro.sched.scheduler import schedule_kernel
 from repro.sim.compiled import compile_program
-from repro.sim.invocation import invoke_kernel, run_invocations_batch
-from repro.sim.memory import Heap
+from repro.sim.invocation import invoke_kernel
 
 #: enough samples for the run to dominate scheduling noise, small
 #: enough to keep the bench under a minute
@@ -30,13 +26,6 @@ _N_SAMPLES = 64
 
 #: acceptance floor for the headline kernel (ISSUE: >= 3x on adpcm)
 _MIN_ADPCM_SPEEDUP = 3.0
-
-#: batch sizes swept by the vector-backend scaling benchmark
-_BATCH_SIZES = (1, 8, 64)
-
-#: acceptance floor: vector vs compiled aggregate throughput on the
-#: 64-invocation adpcm batch
-_MIN_VECTOR_BATCH_SPEEDUP = 5.0
 
 
 def _workloads():
@@ -132,100 +121,6 @@ def test_adpcm_compiled_speedup(benchmark):
     # amortisation: one Table II grid cell = compile once + run once;
     # the cell must already be ahead of the interpreter
     assert compile_seconds + compiled_seconds < interp_seconds
-
-
-def test_adpcm_vector_batch_scaling(benchmark):
-    """Vector backend: lockstep batches vs per-invocation compiled runs.
-
-    Sweeps {1, 8, 64} lanes of the Table II ADPCM workload.  Every lane
-    must be bit-equal to the compiled reference; the 64-lane batch must
-    reach >= 5x the compiled backend's aggregate cycles/sec.  The full
-    scaling curve is recorded in ``extra_info`` (the checked-in
-    snapshot documents the measured batch-size headroom).
-    """
-    kernel, arrays, expect = adpcm_workload(_N_SAMPLES)
-    comp = mesh_composition(9)
-    schedule = schedule_kernel(kernel, comp)
-    program = generate_contexts(schedule, comp, kernel)
-    livein = {"n": _N_SAMPLES, "gain": 4096}
-    by_name = {ref.name: ref.handle for ref in kernel.arrays}
-
-    def mkheaps(n):
-        heaps = []
-        for _ in range(n):
-            heap = Heap()
-            for name, data in arrays.items():
-                heap.allocate(by_name[name], list(data))
-            heaps.append(heap)
-        return heaps
-
-    ref = invoke_kernel(
-        kernel,
-        comp,
-        dict(livein),
-        {k: list(v) for k, v in arrays.items()},
-        program=program,
-        backend="compiled",
-    )
-    assert ref.heap.array(by_name["outp"]) == expect
-    # warm: compile + vectorize memos populated outside the timed runs
-    run_invocations_batch(program, comp, [dict(livein)], mkheaps(1))
-
-    rows = {}
-
-    def measure():
-        for batch in _BATCH_SIZES:
-            liveins = [dict(livein) for _ in range(batch)]
-            # the decoder rewrites every outp element, so reusing the
-            # heaps across rounds keeps each round identical
-            heaps = mkheaps(batch)
-            vec_s = None
-            for _ in range(3):
-                t0 = time.perf_counter()
-                out = run_invocations_batch(program, comp, liveins, heaps)
-                elapsed = time.perf_counter() - t0
-                vec_s = elapsed if vec_s is None else min(vec_s, elapsed)
-            comp_s = None
-            for _ in range(3):
-                t0 = time.perf_counter()
-                for i in range(batch):
-                    run_invocations_batch(
-                        program,
-                        comp,
-                        liveins[i : i + 1],
-                        heaps[i : i + 1],
-                        backend="compiled",
-                    )
-                elapsed = time.perf_counter() - t0
-                comp_s = elapsed if comp_s is None else min(comp_s, elapsed)
-            for lane, got in enumerate(out):
-                assert got.results == ref.results, lane
-                assert got.run.cycles == ref.run.cycles, lane
-                assert got.run.energy == ref.run.energy, lane
-                assert got.heap.array(by_name["outp"]) == expect, lane
-            cycles = sum(r.run.cycles for r in out)
-            rows[str(batch)] = {
-                "sim_cycles": cycles,
-                "vector_cycles_per_sec": round(cycles / vec_s),
-                "compiled_cycles_per_sec": round(cycles / comp_s),
-                "speedup": round(comp_s / vec_s, 2),
-            }
-        return rows
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    benchmark.extra_info["batch_scaling"] = rows
-    benchmark.extra_info["vector_batch64_speedup"] = rows["64"]["speedup"]
-    for batch, row in rows.items():
-        print(
-            f"\nadpcm x{_N_SAMPLES} batch {batch}: vector "
-            f"{row['vector_cycles_per_sec']:,} cyc/s, compiled "
-            f"{row['compiled_cycles_per_sec']:,} cyc/s "
-            f"({row['speedup']:.2f}x)"
-        )
-    assert rows["64"]["speedup"] >= _MIN_VECTOR_BATCH_SPEEDUP, (
-        f"vector backend only {rows['64']['speedup']:.2f}x on the "
-        f"64-invocation batch"
-    )
 
 
 def test_per_kernel_throughput(benchmark):

@@ -14,12 +14,9 @@ results to the serial uncached path; see docs/performance.md.
 
 ``--sim-backend`` selects the simulator executor: the AOT-``compiled``
 backend (default — context programs are lowered once to pre-bound step
-records and fused traces), the per-cycle ``interpreter`` reference, or
-the batched ``vector`` backend (lockstep numpy execution; single-run
-grid invocations route through a batch of one, so it mainly serves
-differential checking here — see docs/performance.md).  Results are
-identical.  ``--max-cycles`` tightens the per-run runaway bound below
-the 50M default.
+records and fused traces) or the per-cycle ``interpreter`` reference.
+Results are identical.  ``--max-cycles`` tightens the per-run runaway
+bound below the 50M default.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from repro.eval.tables import (
 )
 from repro.kernels.adpcm import N_SAMPLES
 from repro.obs import observe, timed
+from repro.sim.machine import SIM_BACKENDS
 
 
 def _run_eval(
@@ -195,7 +193,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--sim-backend",
-        choices=("interpreter", "compiled", "vector"),
+        choices=SIM_BACKENDS,
         default="compiled",
         help="simulator executor: AOT-compiled traces (default) or the "
         "per-cycle reference interpreter; results are identical",

@@ -173,9 +173,7 @@ class CompositionExplorer:
         content address, so hill-climbing restarts that revisit a genome
         skip scheduling entirely.  ``sim_backend`` selects the simulator
         executor (AOT-compiled by default — candidate evaluation is
-        simulation-bound; ``"vector"`` routes each run through a
-        batch-of-one of the lockstep numpy backend, see
-        docs/performance.md).  All knobs leave every evaluation result
+        simulation-bound).  All knobs leave every evaluation result
         identical to the serial uncached interpreter path."""
         if not workloads:
             raise ValueError("need at least one workload")

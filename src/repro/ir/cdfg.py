@@ -11,9 +11,16 @@ edges with weights).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.ir.nodes import ArrayRef, Node, Var
 from repro.ir.regions import (
@@ -23,6 +30,9 @@ from repro.ir.regions import (
     Region,
     SeqRegion,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Kernel", "ValidationError"]
 
@@ -187,6 +197,9 @@ class Kernel:
           edges of Fig. 11): a VARWRITE inside a loop feeding a VARREAD
           of the same variable at or before it in the next iteration.
         """
+        # imported here: only figure export needs networkx
+        import networkx as nx
+
         g = nx.DiGraph()
         for node in self.nodes():
             label = node.opcode

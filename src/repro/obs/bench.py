@@ -66,10 +66,6 @@ _INTERNAL_COUNT_KEYS = (
     "placement_attempts",
     "placement_accepted",
     "sim_cycles",
-    "vector_batches",
-    "vector_lanes",
-    "vector_cohort_splits",
-    "vector_cohort_merges",
 )
 
 

@@ -66,7 +66,7 @@ from repro.serve.jobs import (
     execute_job,
     job_payload,
 )
-from repro.sim.machine import DEFAULT_MAX_CYCLES
+from repro.sim.machine import DEFAULT_MAX_CYCLES, SIM_BACKENDS
 
 __all__ = [
     "ScheduleServer",
@@ -169,6 +169,12 @@ def request_to_spec(
         validate_scheduler_mode(scheduler_mode)
     except ValueError as exc:
         raise ValueError(str(exc)) from None
+    backend = str(req.get("backend") or backend)
+    if backend not in SIM_BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of "
+            f"{', '.join(SIM_BACKENDS)}"
+        )
     return JobSpec(
         workload=kernel,
         composition=comp,
@@ -176,7 +182,7 @@ def request_to_spec(
         params=tuple(sorted(params.items())),
         livein=JobSpec.freeze_livein(livein),
         arrays=JobSpec.freeze_arrays(arrays),
-        backend=str(req.get("backend") or backend),
+        backend=backend,
         max_cycles=int(req.get("max_cycles") or max_cycles),
         scheduler_mode=scheduler_mode,
         cached=cached,

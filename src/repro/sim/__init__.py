@@ -20,13 +20,6 @@ from repro.sim.invocation import (
     invoke_kernel,
     InvocationResult,
     run_invocation,
-    run_invocations_batch,
-)
-from repro.sim.vector import (
-    BatchRunResult,
-    VectorHeap,
-    VectorSimulator,
-    vectorize_program,
 )
 
 __all__ = [
@@ -41,9 +34,4 @@ __all__ = [
     "invoke_kernel",
     "InvocationResult",
     "run_invocation",
-    "run_invocations_batch",
-    "BatchRunResult",
-    "VectorHeap",
-    "VectorSimulator",
-    "vectorize_program",
 ]

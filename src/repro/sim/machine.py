@@ -17,14 +17,11 @@ Per dynamic cycle (one CCNT value):
 Register files start zero-initialised; live-in locals are written by the
 host before cycle 0 (Section IV-A.3).
 
-Three backends share this front door: the per-cycle *interpreter*
-below (the reference semantics), the ahead-of-time *compiled* backend
-in :mod:`repro.sim.compiled` (``backend="compiled"``), and the batched
-numpy *vector* backend in :mod:`repro.sim.vector`
-(``backend="vector"`` runs a single invocation as a batch of one; use
-:func:`repro.sim.invocation.run_invocations_batch` to amortise a real
-batch).  All produce identical :class:`RunResult`s, live-outs and heap
-contents; energy is accumulated in integer micro-units
+Two backends share this front door: the per-cycle *interpreter*
+below (the reference semantics) and the ahead-of-time *compiled*
+backend in :mod:`repro.sim.compiled` (``backend="compiled"``).  Both
+produce identical :class:`RunResult`s, live-outs and heap contents;
+energy is accumulated in integer micro-units
 (:data:`repro.arch.operations.ENERGY_SCALE`) so the totals compare
 bit-equal across backends regardless of summation order.
 """
@@ -53,7 +50,7 @@ __all__ = [
 DEFAULT_MAX_CYCLES = 50_000_000
 
 #: accepted ``backend=`` values
-SIM_BACKENDS = ("interpreter", "compiled", "vector")
+SIM_BACKENDS = ("interpreter", "compiled")
 
 
 class SimulationError(Exception):
@@ -147,10 +144,6 @@ class CGRASimulator:
                     max_cycles=self.max_cycles,
                     tracer=tracer,
                 )
-            elif self.backend == "vector":
-                from repro.sim.vector import run_single_via_vector
-
-                result = run_single_via_vector(self, start_ccnt, tracer)
             else:
                 result = self._run(start_ccnt, tracer)
         metrics = get_metrics()

@@ -34,6 +34,7 @@ import sys
 from repro.obs import observe
 from repro.obs.__main__ import resolve_composition
 from repro.obs.ledger import RunLedger, pipeline_record, set_ledger
+from repro.sim.machine import SIM_BACKENDS
 from repro.verify import set_verify_enabled, verify_program
 from repro.verify.mutate import run_mutation_campaign
 from repro.verify.workloads import WORKLOADS, get_workload
@@ -73,18 +74,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("interpreter", "compiled", "vector"),
+        choices=SIM_BACKENDS,
         default="interpreter",
         help="simulator backend for the dynamic oracle (default: "
         "interpreter)",
-    )
-    parser.add_argument(
-        "--replay",
-        choices=("batch", "scalar", "both"),
-        default="batch",
-        help="mutation dynamic replay: one vectorized batch per mutant "
-        "(batch, default), the per-vector scalar loop (scalar), or both "
-        "with outcome cross-checking and wall-time comparison (both)",
     )
     parser.add_argument(
         "--scheduler",
@@ -172,7 +165,6 @@ def _run_checks(args, workloads, comps, ledger) -> int:
             workloads,
             comps,
             backend=args.backend,
-            replay=args.replay,
             scheduler_mode=args.scheduler,
             progress=print,
         )
@@ -192,16 +184,6 @@ def _run_checks(args, workloads, comps, ledger) -> int:
                 )
         print()
         print(report.render_table())
-        if (
-            report.batch_seconds is not None
-            and report.scalar_seconds is not None
-            and report.batch_seconds > 0
-        ):
-            print(
-                f"\nreplay wall time: batch {report.batch_seconds:.2f}s vs "
-                f"scalar {report.scalar_seconds:.2f}s "
-                f"({report.scalar_seconds / report.batch_seconds:.2f}x)"
-            )
         if args.json:
             report.write_json(args.json)
             print(f"\ncoverage report written to {args.json}")

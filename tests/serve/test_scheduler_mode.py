@@ -108,3 +108,14 @@ class TestRequestParsing:
                     "scheduler_mode": "bogus",
                 }
             )
+
+    def test_unknown_backend_is_a_value_error(self):
+        # rejected at parse time, before admission, not inside a worker
+        with pytest.raises(ValueError, match="backend"):
+            request_to_spec(
+                {
+                    "kernel": "dotp",
+                    "composition": "mesh4",
+                    "backend": "vector",
+                }
+            )

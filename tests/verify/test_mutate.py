@@ -78,27 +78,6 @@ class TestClassification:
         escaped = [r for r in results if r.outcome == "escaped"]
         assert not escaped, escaped
 
-    def test_batched_replay_matches_scalar(self, gcd_cell):
-        """The batched (vectorized) dynamic replay must classify every
-        mutant exactly like the per-vector scalar loop, detail included
-        (same first trap/diverging vector)."""
-        workload, comp, program = gcd_cell
-        mutants = list(enumerate_mutants(program, comp))
-        batched = classify_mutants(
-            program, comp, workload.vectors, replay="batch", mutants=mutants
-        )
-        scalar = classify_mutants(
-            program, comp, workload.vectors, replay="scalar", mutants=mutants
-        )
-        assert batched == scalar
-
-    def test_unknown_replay_mode_rejected(self, gcd_cell):
-        workload, comp, program = gcd_cell
-        with pytest.raises(ValueError, match="replay"):
-            classify_mutants(
-                program, comp, workload.vectors, replay="warp", mutants=[]
-            )
-
     def test_rejects_broken_baseline(self, gcd_cell):
         workload, comp, program = gcd_cell
         import copy
@@ -169,20 +148,4 @@ def test_campaign_smoke():
     assert report.n_mutants > 0
     assert not report.escaped()
     assert report.caught_fraction == 1.0
-    assert report.replay == "batch"
-    assert report.batch_seconds is not None
-    assert report.scalar_seconds is None
 
-
-def test_campaign_replay_both_cross_checks_and_times():
-    report = run_mutation_campaign(
-        [get_workload("gcd")], [mesh_composition(4)], replay="both"
-    )
-    assert report.replay == "both"
-    assert report.batch_seconds is not None
-    assert report.scalar_seconds is not None
-    data = report.to_json()
-    assert data["replay"] == "both"
-    assert data["replay_delta_seconds"] == pytest.approx(
-        report.scalar_seconds - report.batch_seconds
-    )
