@@ -1,6 +1,6 @@
 """Schedule -> contexts (Fig. 10's last stage).
 
-Two pipeline passes (see :mod:`repro.sched.pipeline`):
+Two passes after scheduling:
 
 * :func:`allocate_contexts` — left-edge allocation of register files
   (per PE) and C-Box condition slots, returning an :class:`Allocation`;
@@ -8,8 +8,8 @@ Two pipeline passes (see :mod:`repro.sched.pipeline`):
   the simulator and the Verilog generator consume from a schedule plus
   its allocation.
 
-:func:`generate_contexts` composes the two and is the stable
-entry point for callers that do not run the full pipeline.
+:func:`generate_contexts` composes the two and is the entry point
+every caller uses.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def generate_contexts(
     comp: Composition,
     kernel: Optional[Kernel] = None,
 ) -> ContextProgram:
-    """Allocate and emit in one call (the pre-pipeline entry point)."""
+    """Allocate and emit in one call."""
     return emit_contexts(
         schedule, comp, allocate_contexts(schedule, comp), kernel
     )

@@ -34,7 +34,7 @@ from repro.kernels.adpcm import (
     build_decoder_kernel,
     encoded_reference,
 )
-from repro.perf.cache import ScheduleCache, shared_cache
+from repro.perf.cache import ScheduleCache
 from repro.perf.parallel import ParallelEvaluator
 from repro.sched.strategy import DEFAULT_SCHEDULER_MODE
 from repro.serve.jobs import (
@@ -224,17 +224,9 @@ def run_grid(
         )
         for label, comp in items
     ]
-    evaluator = ParallelEvaluator(jobs)
-    results = evaluator.map(execute_job, specs)
-    if evaluator.last_used_pool and cached:
-        # worker-side ScheduleCache instances died with the workers:
-        # fold their reported hit/miss deltas into this process's cache
-        # object.  The *metric* counters (perf.cache.*) need no help —
-        # when an enabled registry is installed the evaluator already
-        # folded every worker counter back (last_obs_folded)
-        cache = shared_cache(cache_dir)
-        cache.hits += sum(r.cache_hits_delta for r in results)
-        cache.misses += sum(r.cache_misses_delta for r in results)
+    # pooled cells fold their workers' cache counters back into this
+    # process's shared_cache(cache_dir) inside map (see fold_obs)
+    results = ParallelEvaluator(jobs).map(execute_job, specs)
     return {
         result.label: _to_composition_run(result, spec.composition)
         for spec, result in zip(specs, results)

@@ -28,7 +28,6 @@ from repro.arch.pe import PEDescription
 from repro.context.generator import generate_contexts
 from repro.fpga import estimate
 from repro.ir.cdfg import Kernel
-from repro.obs import get_metrics
 from repro.perf.cache import shared_cache
 from repro.perf.parallel import ParallelEvaluator
 from repro.sched.schedule import SchedulingError
@@ -41,17 +40,15 @@ __all__ = ["Workload", "Evaluation", "ExplorationResult", "CompositionExplorer"]
 _CACHE_FORMAT = 1
 
 
-def _workload_task(task) -> Tuple[str, Optional[int], int, int]:
+def _workload_task(task) -> Tuple[str, Optional[int]]:
     """Schedule+simulate one workload on one candidate composition.
 
     Module-level so :class:`~repro.perf.parallel.ParallelEvaluator` can
-    ship it to pool workers.  Returns ``(workload name, cycles or None,
-    cache hit delta, cache miss delta)``.
+    ship it to pool workers.  Returns ``(workload name, cycles or None)``.
     """
     (name, kernel, comp, livein, arrays, cached, cache_dir, backend,
      scheduler_mode) = task
     cache = shared_cache(cache_dir) if cached else None
-    before = (cache.hits, cache.misses) if cache else (0, 0)
     try:
         if cache is None:
             program = None
@@ -82,8 +79,7 @@ def _workload_task(task) -> Tuple[str, Optional[int], int, int]:
         cycles: Optional[int] = res.run_cycles
     except SchedulingError:
         cycles = None
-    after = (cache.hits, cache.misses) if cache else (0, 0)
-    return name, cycles, after[0] - before[0], after[1] - before[1]
+    return name, cycles
 
 _RF_CHOICES = (32, 64, 128)
 
@@ -212,21 +208,12 @@ class CompositionExplorer:
              self._cache_dir, self.sim_backend, self.scheduler_mode)
             for w in self.workloads
         ]
+        # pooled tasks fold their cache counters back inside map
         results = self._evaluator.map(_workload_task, tasks)
-        if self._evaluator.last_used_pool and self._cache is not None:
-            # pool workers keep their own counters; fold the deltas back
-            hits = sum(r[2] for r in results)
-            misses = sum(r[3] for r in results)
-            self._cache.hits += hits
-            self._cache.misses += misses
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.inc("perf.cache.hits", hits)
-                metrics.inc("perf.cache.misses", misses)
         cycles: Dict[str, Optional[int]] = {}
         feasible = True
         total_ms = 0.0
-        for w, (name, run_cycles, _h, _m) in zip(self.workloads, results):
+        for w, (name, run_cycles) in zip(self.workloads, results):
             cycles[name] = run_cycles
             if run_cycles is None:
                 feasible = False

@@ -29,6 +29,10 @@ Hit/miss/evict counters are kept per instance *and* mirrored into the
 ``repro.obs`` metrics registry (``perf.cache.hits`` /
 ``perf.cache.misses`` / ``perf.cache.evict`` /
 ``perf.cache.corrupt``) whenever an enabled registry is installed.
+Pool workers ship the counters of their :func:`shared_cache`
+instances back to the parent (:func:`shared_cache_counts`,
+:func:`shared_cache_deltas`, :func:`add_shared_cache_counts`; see
+:mod:`repro.perf.parallel`).
 
 **Integrity.**  Disk entries are checksummed: each file carries a
 header (magic + SHA-256 of the pickled payload), verified on every
@@ -37,9 +41,10 @@ still unpickle — is *quarantined*: the file is renamed to
 ``<key>.pkl.corrupt`` (out of the key namespace, kept as evidence),
 counted in ``perf.cache.corrupt`` and served as a miss, so the entry
 is recomputed rather than trusted.  Torn/unpicklable files get the
-same treatment.  Pre-checksum files (no magic) still load.  The
-``cache.write`` fault-injection site (:mod:`repro.faults`) can tear or
-corrupt writes on purpose; the read path must catch every one.
+same treatment, and so do files without the magic header: nothing
+is unpickled unchecked.  The ``cache.write`` fault-injection site
+(:mod:`repro.faults`) can tear or corrupt writes on purpose; the read
+path must catch every one.
 """
 
 from __future__ import annotations
@@ -56,7 +61,16 @@ from repro.ir.cdfg import Kernel
 from repro.obs import get_metrics
 from repro.perf.fingerprint import schedule_cache_key
 
-__all__ = ["ScheduleCache", "shared_cache"]
+__all__ = [
+    "ScheduleCache",
+    "shared_cache",
+    "shared_cache_counts",
+    "shared_cache_deltas",
+    "add_shared_cache_counts",
+]
+
+#: per-instance counters a pool worker reports back to its parent
+_COUNTERS = ("hits", "misses", "evictions", "corrupt")
 
 #: disk-entry header: magic + raw SHA-256 of the pickled payload
 _MAGIC = b"RSC1"
@@ -117,25 +131,25 @@ class ScheduleCache:
     def _load_disk(self, path: str) -> Optional[Any]:
         """Verified payload from one disk entry, or ``None`` (+quarantine).
 
-        Checksummed entries (``_MAGIC`` header) are rejected on digest
-        mismatch *before* unpickling is trusted; torn or unpicklable
-        files — with or without header — are rejected the same way.
-        Headerless files are pre-checksum entries, loaded as-is.
+        Entries are rejected on a missing ``_MAGIC`` header or a digest
+        mismatch *before* anything is unpickled; torn or unpicklable
+        files are rejected the same way.
         """
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError:
             return None  # concurrently evicted: a plain miss, no counter
+        if blob[: len(_MAGIC)] != _MAGIC:
+            self._quarantine(path, "header")
+            return None
+        digest = blob[len(_MAGIC): len(_MAGIC) + _DIGEST_BYTES]
+        body = blob[len(_MAGIC) + _DIGEST_BYTES:]
+        if hashlib.sha256(body).digest() != digest:
+            self._quarantine(path, "checksum")
+            return None
         try:
-            if blob[: len(_MAGIC)] == _MAGIC:
-                digest = blob[len(_MAGIC): len(_MAGIC) + _DIGEST_BYTES]
-                body = blob[len(_MAGIC) + _DIGEST_BYTES:]
-                if hashlib.sha256(body).digest() != digest:
-                    self._quarantine(path, "checksum")
-                    return None
-                return pickle.loads(body)
-            return pickle.loads(blob)  # legacy headerless entry
+            return pickle.loads(body)
         except (pickle.UnpicklingError, EOFError, ValueError,
                 IndexError, ImportError, AttributeError, MemoryError):
             self._quarantine(path, "unpicklable")
@@ -316,3 +330,41 @@ def shared_cache(
     elif max_bytes is not None:
         cache.max_bytes = max_bytes
     return cache
+
+
+def shared_cache_counts() -> Dict[Optional[str], Tuple[int, ...]]:
+    """Counters of every process-wide cache, keyed by its directory.
+
+    Values follow ``_COUNTERS`` (hits, misses, evictions, corrupt).  A
+    pool worker snapshots them before a task and ships
+    :func:`shared_cache_deltas` back; the parent adds those with
+    :func:`add_shared_cache_counts`.
+    """
+    return {
+        key: tuple(getattr(cache, name) for name in _COUNTERS)
+        for key, cache in _SHARED.items()
+    }
+
+
+def shared_cache_deltas(
+    before: Dict[Optional[str], Tuple[int, ...]]
+) -> Dict[Optional[str], Tuple[int, ...]]:
+    """Counter changes since the ``before`` snapshot (unchanged caches
+    are left out)."""
+    deltas = {}
+    for key, counts in shared_cache_counts().items():
+        base = before.get(key, (0,) * len(_COUNTERS))
+        delta = tuple(now - then for now, then in zip(counts, base))
+        if any(delta):
+            deltas[key] = delta
+    return deltas
+
+
+def add_shared_cache_counts(
+    deltas: Dict[Optional[str], Tuple[int, ...]]
+) -> None:
+    """Add a worker's counter deltas to this process's shared caches."""
+    for key, delta in deltas.items():
+        cache = shared_cache(key)
+        for name, value in zip(_COUNTERS, delta):
+            setattr(cache, name, getattr(cache, name) + value)

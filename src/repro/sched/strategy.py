@@ -1,7 +1,7 @@
 """Per-region scheduling strategies and region analysis.
 
-The scheduler pipeline (see :mod:`repro.sched.pipeline`) runs a *region
-analysis* pass before placement: every loop region of the kernel is
+The scheduler (:class:`repro.sched.scheduler.RegionScheduler`) runs a
+*region analysis* pass before placement: every loop region of the kernel is
 assigned a :class:`LoopDecision` naming the strategy that will realise
 it.  Placement then dispatches each loop through its strategy:
 

@@ -145,8 +145,7 @@ class JobResult:
     ``run_cycles``, ``energy_units``, ``results``, ``heap``): equal
     specs must produce equal signatures whether the job ran serially,
     in a pool worker, or behind the server (the differential suite's
-    oracle).  ``cache_hits_delta``/``cache_misses_delta`` let a parent
-    process fold pool workers' schedule-cache statistics.
+    oracle).
     """
 
     label: str
@@ -170,8 +169,6 @@ class JobResult:
     energy_units: int
     heap: Dict[str, List[int]] = field(default_factory=dict)
     correct: Optional[bool] = None
-    cache_hits_delta: int = 0
-    cache_misses_delta: int = 0
 
 
 @dataclass
@@ -269,7 +266,6 @@ def execute_job(
         cache = shared_cache(
             spec.cache_dir, max_bytes=spec.cache_max_bytes
         )
-    before = (cache.hits, cache.misses) if cache else (0, 0)
     cache_hit: Optional[bool] = None
     label = spec.label or f"{spec.workload} on {comp.name}"
     with timed("sched.walltime", label=label) as timer:
@@ -295,7 +291,6 @@ def execute_job(
                 fmt=CACHE_FORMAT,
                 scheduler_mode=spec.scheduler_mode,
             )
-    after = (cache.hits, cache.misses) if cache else (0, 0)
     sim_t0 = time.perf_counter()
     result = invoke_kernel(
         kernel,
@@ -357,8 +352,6 @@ def execute_job(
         energy_units=energy_units(result.run.energy),
         heap=heap,
         correct=correct,
-        cache_hits_delta=after[0] - before[0],
-        cache_misses_delta=after[1] - before[1],
     )
 
 

@@ -686,8 +686,7 @@ class ScheduleServer:
                             f"worker pool broken twice running this "
                             f"job: {exc}"
                         ) from exc
-            if obs is not None:
-                self.evaluator.fold_obs(obs)
+            self.evaluator.fold_obs(obs)
         else:
             if self._thread_exec is None:
                 self._thread_exec = ThreadPoolExecutor(

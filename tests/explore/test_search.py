@@ -88,3 +88,22 @@ class TestSearch:
         baseline = explorer.evaluate(irregular_composition("B"))
         result = explorer.search(iterations=10, restarts=2)
         assert result.best.score <= baseline.score
+
+
+class TestPooledCacheMetrics:
+    def test_cache_counters_match_cache_stats(self, workloads, tmp_path):
+        """Pool workers' cache counters are folded back exactly once:
+        the ``perf.cache.*`` metrics agree with the cache's own stats."""
+        from repro.obs import observe
+
+        with observe() as session:
+            explorer = CompositionExplorer(
+                workloads, n_pes=4, seed=1, jobs=2, cache_dir=str(tmp_path)
+            )
+            for _ in range(2):
+                assert explorer.evaluate(mesh_composition(4)).feasible
+        counters = session.metrics.snapshot()["counters"]
+        stats = explorer.cache_stats()
+        assert (stats["misses"], stats["hits"]) == (2, 2)
+        assert counters["perf.cache.misses"] == stats["misses"]
+        assert counters["perf.cache.hits"] == stats["hits"]

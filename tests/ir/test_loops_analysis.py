@@ -1,12 +1,7 @@
-"""Tests for the loop graph and CDFG analyses."""
+"""Tests for the loop graph."""
 
-import pytest
-
-from repro.ir.analysis import longest_path_weights, topological_order
-from repro.ir.builder import KernelBuilder
 from repro.ir.frontend import IntArray, compile_kernel
 from repro.ir.loops import LoopGraph
-from repro.ir.nodes import Node
 
 
 def k_triple(n: int, a: IntArray, b: IntArray, c: IntArray) -> int:
@@ -76,59 +71,3 @@ class TestLoopGraph:
         nodes = inner.header.node_list
         assert lg.same_loop(nodes[0], nodes[-1])
 
-
-class TestTopologicalOrder:
-    def test_respects_edges(self):
-        kb = KernelBuilder("k")
-        x = kb.param("x")
-        r = kb.read(x)
-        add = kb.binop("IADD", r, kb.const(1))
-        kb.write(x, add)
-        kernel = kb.finish(results=[x])
-        block = next(kernel.blocks())
-        order = topological_order(block.node_list)
-        pos = {n.id: i for i, n in enumerate(order)}
-        for n in block.node_list:
-            for p in n.predecessors():
-                assert pos[p.id] < pos[n.id]
-
-    def test_cycle_detected(self):
-        a = Node("CONST", value=1)
-        b = Node("MOVE", operands=[a])
-        a.deps.append(b)  # artificial cycle
-        with pytest.raises(ValueError):
-            topological_order([a, b])
-
-
-class TestLongestPath:
-    def test_chain_weights_decrease(self):
-        kb = KernelBuilder("k")
-        x = kb.param("x")
-        r = kb.read(x)
-        a = kb.binop("IADD", r, kb.const(1))
-        b = kb.binop("IMUL", a, kb.const(2))
-        w = kb.write(x, b)
-        kernel = kb.finish(results=[x])
-        block = next(kernel.blocks())
-        weights = longest_path_weights(block.node_list)
-        # upstream nodes carry at least their successors' weight
-        assert weights[r.id] >= weights[a.id] >= weights[b.id] >= weights[w.id]
-        # IMUL (block multiplier) counts 2 cycles in the estimate
-        assert weights[a.id] == weights[b.id] + 1
-        assert weights[b.id] == weights[w.id] + 2
-
-    def test_independent_chains(self):
-        kb = KernelBuilder("k")
-        x = kb.param("x")
-        y = kb.param("y")
-        long_chain = kb.read(x)
-        for _ in range(5):
-            long_chain = kb.binop("IADD", long_chain, kb.const(1))
-        kb.write(x, long_chain)
-        short = kb.binop("IADD", kb.read(y), kb.const(1))
-        kb.write(y, short)
-        kernel = kb.finish(results=[x, y])
-        block = next(kernel.blocks())
-        weights = longest_path_weights(block.node_list)
-        first_read = block.node_list[0]
-        assert weights[first_read.id] > weights[short.id]

@@ -1,4 +1,4 @@
-"""Disk-entry integrity: checksums, quarantine, legacy files, injection."""
+"""Disk-entry integrity: checksums, quarantine, headerless files, injection."""
 
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ class TestChecksums:
         assert not hit and payload == "again"
         assert fresh.corrupt == 1
 
-    def test_legacy_headerless_entry_still_loads(self, tmp_path):
+    def test_headerless_entry_is_quarantined_as_miss(self, tmp_path):
         kernel, comp = _kc()
         cache = ScheduleCache(str(tmp_path))
         key = cache.key_for(kernel, comp)
@@ -78,10 +78,12 @@ class TestChecksums:
         with open(legacy, "wb") as fh:
             pickle.dump({"pre": "checksum"}, fh)
         payload, hit = cache.get_or_compute(
-            kernel, comp, lambda: pytest.fail("must hit the legacy file")
+            kernel, comp, lambda: {"v": "recomputed"}
         )
-        assert hit and payload == {"pre": "checksum"}
-        assert cache.corrupt == 0
+        # a file without the checksum header is never unpickled
+        assert not hit and payload == {"v": "recomputed"}
+        assert (cache.misses, cache.corrupt) == (1, 1)
+        assert os.path.exists(legacy + ".corrupt")
 
     def test_corrupt_counter_reaches_metrics(self, tmp_path):
         kernel, comp = _kc()

@@ -5,7 +5,8 @@ serial run's (except the ``perf.pool.workers`` gauge), the merged
 Chrome trace is one well-formed JSON file with per-worker pid lanes,
 and ledger records come back in submission order.  Every test tolerates
 the serial fallback (sandboxes without a usable process pool) by
-checking ``last_used_pool`` before asserting pool-only properties.
+checking the ``perf.pool.workers`` gauge before asserting pool-only
+properties.
 """
 
 from __future__ import annotations
@@ -51,16 +52,20 @@ def _no_ledger_leak():
 
 
 def _run(jobs):
-    """One observed map; returns (evaluator, results, session, ledger)."""
+    """One observed map; returns (pooled, results, session, ledger).
+
+    ``pooled`` says whether the map ran on worker processes (the
+    ``perf.pool.workers`` gauge exceeds 1 only then).
+    """
     ledger = RunLedger()
     set_ledger(ledger)
     try:
         with obs.observe() as session:
-            evaluator = ParallelEvaluator(jobs=jobs)
-            results = evaluator.map(_task, list(ITEMS))
+            results = ParallelEvaluator(jobs=jobs).map(_task, list(ITEMS))
     finally:
         set_ledger(None)
-    return evaluator, results, session, ledger
+    pooled = session.metrics.snapshot()["gauges"]["perf.pool.workers"] > 1
+    return pooled, results, session, ledger
 
 
 class TestParallelObsMerge:
@@ -77,16 +82,13 @@ class TestParallelObsMerge:
         assert par_results == EXPECTED
 
     def test_counter_totals_equal_serial(self, runs):
-        (_, _, s_session, _), (p_ev, _, p_session, _) = runs
+        (_, _, s_session, _), (_, _, p_session, _) = runs
         s_counters = s_session.metrics.snapshot()["counters"]
         p_counters = p_session.metrics.snapshot()["counters"]
         assert s_counters == p_counters
         # the one intended difference is the workers gauge
-        if p_ev.last_used_pool:
-            s_gauges = s_session.metrics.snapshot()["gauges"]
-            p_gauges = p_session.metrics.snapshot()["gauges"]
-            assert s_gauges["perf.pool.workers"] == 1
-            assert p_gauges["perf.pool.workers"] > 1
+        s_gauges = s_session.metrics.snapshot()["gauges"]
+        assert s_gauges["perf.pool.workers"] == 1
 
     def test_histogram_totals_equal_serial(self, runs):
         (_, _, s_session, _), (_, _, p_session, _) = runs
@@ -97,7 +99,7 @@ class TestParallelObsMerge:
             assert p_hists[key]["count"] == s["count"], key
 
     def test_ledger_folded_in_submission_order(self, runs):
-        (_, _, _, s_ledger), (p_ev, _, _, p_ledger) = runs
+        (_, _, _, s_ledger), (_, _, _, p_ledger) = runs
         s_runs = [r for r in s_ledger if r["kind"] == "pipeline.run"]
         p_runs = [r for r in p_ledger if r["kind"] == "pipeline.run"]
         assert len(s_runs) == len(ITEMS)
@@ -105,11 +107,9 @@ class TestParallelObsMerge:
             r["program_digest"] for r in s_runs
         ]
         assert [r["seq"] for r in p_ledger] == list(range(len(p_ledger)))
-        if p_ev.last_used_pool:
-            assert p_ev.last_obs_folded
 
     def test_merged_trace_is_well_formed_with_pid_lanes(self, runs, tmp_path):
-        _, (p_ev, _, p_session, _) = runs
+        _, (pooled, _, p_session, _) = runs
         path = str(tmp_path / "merged.trace.json")
         p_session.tracer.to_chrome(path)
         with open(path) as fh:
@@ -117,7 +117,7 @@ class TestParallelObsMerge:
         events = payload["traceEvents"]
         assert events
         pids = {e["pid"] for e in events if e["ph"] == "X"}
-        if p_ev.last_used_pool:
+        if pooled:
             worker_pids = pids - {0}
             assert worker_pids, "no per-worker pid lanes in merged trace"
             assert os.getpid() not in worker_pids
@@ -135,8 +135,8 @@ class TestParallelObsMerge:
     def test_worker_spans_share_parent_epoch(self, runs):
         """Merged records sit on one time axis: no span may start before
         the parent tracer's epoch."""
-        _, (p_ev, _, p_session, _) = runs
-        if not p_ev.last_used_pool:
+        _, (pooled, _, p_session, _) = runs
+        if not pooled:
             pytest.skip("pool unavailable; no foreign records to check")
         for record in p_session.tracer.records:
             assert record["ts"] >= 0
@@ -157,58 +157,88 @@ class TestScheduleDeterminismUnderObs:
 
 
 def _strip_pool_noise(counters):
-    """Counters minus pool bookkeeping and fault accounting — the keys
-    that legitimately differ when a task had to be re-submitted."""
+    """Counters minus pool bookkeeping and the serving layer's own
+    accounting — the keys that legitimately differ when a job had to be
+    re-submitted behind the server."""
     return {
         k: v
         for k, v in counters.items()
-        if not k.startswith("perf.pool.")
-        and not k.startswith("serve.faults.")
+        if not k.startswith("perf.pool.") and not k.startswith("serve.")
     }
 
 
+#: response fields that must not depend on how the job was executed
+_SIGNATURE = (
+    "program_digest", "used_contexts", "max_rf_entries", "results",
+    "run_cycles", "total_cycles", "ops_executed", "branches_taken",
+    "energy", "energy_units", "heap", "correct",
+)
+
+
+def _signature(payload):
+    return json.dumps(
+        {k: payload[k] for k in _SIGNATURE}, sort_keys=True
+    ).encode()
+
+
+def _request(item):
+    a, b = item
+    return {"kernel": "gcd", "composition": "mesh4",
+            "livein": {"a": a, "b": b}}
+
+
+def _arm_one_hang():
+    from repro import faults
+    from repro.faults import FaultPlan, FaultSpec
+
+    plan = FaultPlan(
+        [FaultSpec("pool.task", "hang", rate=1.0, count=1, delay_s=8.0)],
+        seed=0,
+    )
+    faults.arm(plan)
+    return plan
+
+
 class TestKillAndRespawnDeterminism:
-    """A hung worker is killed, the pool respawns, and the re-submitted
-    job is indistinguishable from a serial run — results byte-equal,
-    folded obs totals equal (modulo pool bookkeeping)."""
+    """A hung worker misses the server deadline and is killed, the pool
+    respawns, and the re-submitted job is indistinguishable from a
+    serial run — results byte-equal, folded obs totals equal (modulo
+    pool and serving bookkeeping)."""
 
-    def test_resubmitted_job_matches_serial(self):
+    def test_resubmitted_job_matches_serial(self, tmp_path):
         from repro import faults
-        from repro.faults import FaultPlan, FaultSpec
-        from repro.perf.parallel import WorkerHangError
+        from repro.serve.client import ServeError, connect
+        from repro.serve.jobs import execute_job, job_payload
+        from repro.serve.server import request_to_spec, serve_in_thread
 
-        item = ITEMS[0]
-        # serial ground truth with observed sinks
+        req = _request(ITEMS[0])
+        # serial ground truth with observed sinks (its own cold cache)
+        spec = request_to_spec(req, cache_dir=str(tmp_path / "serial"))
         with obs.observe() as serial_session:
-            serial_result = _task(item)
+            serial = job_payload(execute_job(spec))
         serial_counters = serial_session.metrics.snapshot()["counters"]
 
-        plan = FaultPlan(
-            [FaultSpec("pool.task", "hang", rate=1.0, count=1,
-                       delay_s=8.0)],
-            seed=0,
-        )
-        evaluator = ParallelEvaluator(jobs=2)
-        faults.arm(plan)
+        plan = _arm_one_hang()
         try:
             with obs.observe() as pooled_session:
-                with pytest.raises(WorkerHangError):
-                    evaluator.submit_with_deadline(
-                        _task, item, timeout=0.8
-                    )
-                if not evaluator._persistent and evaluator.pool_broken:
-                    pytest.skip("pool unavailable in this sandbox")
-                # the fault was one-shot: the resubmission runs clean
-                # on a freshly forked pool
-                result, worker_obs = evaluator.submit_with_deadline(
-                    _task, item, timeout=60.0
-                )
-                evaluator.fold_obs(worker_obs)
+                with serve_in_thread(
+                    workers=1, deadline_s=0.8,
+                    cache_dir=str(tmp_path / "served"),
+                ) as handle:
+                    if handle.server.evaluator.pool_broken:
+                        pytest.skip("pool unavailable in this sandbox")
+                    with connect(handle.address) as client:
+                        with pytest.raises(ServeError) as err:
+                            client.run(**req)
+                        assert err.value.code == "DEADLINE"
+                        # the fault was one-shot: the resubmission runs
+                        # clean on a freshly forked pool
+                        served = client.run(**req)["result"]
         finally:
             faults.disarm()
-            evaluator.close()
 
-        assert result == serial_result == EXPECTED[0]
+        assert served["results"]["a"] == EXPECTED[0]
+        assert _signature(served) == _signature(serial)
         assert len(plan.fired) == 1
         pooled_counters = pooled_session.metrics.snapshot()["counters"]
         assert _strip_pool_noise(pooled_counters) == _strip_pool_noise(
@@ -217,24 +247,21 @@ class TestKillAndRespawnDeterminism:
 
     def test_kill_hung_workers_reports_the_kill(self):
         from repro import faults
-        from repro.faults import FaultPlan, FaultSpec
-        from repro.perf.parallel import WorkerHangError
+        from repro.serve.client import ServeError, connect
+        from repro.serve.server import serve_in_thread
 
-        plan = FaultPlan(
-            [FaultSpec("pool.task", "hang", rate=1.0, count=1,
-                       delay_s=8.0)],
-            seed=0,
-        )
-        evaluator = ParallelEvaluator(jobs=1)
-        faults.arm(plan)
+        req = _request(ITEMS[1])
+        _arm_one_hang()
         try:
-            with pytest.raises(WorkerHangError, match="workers killed"):
-                evaluator.submit_with_deadline(_task, ITEMS[1], timeout=0.8)
-            # respawned pool serves the next submission
-            result, _ = evaluator.submit_with_deadline(
-                _task, ITEMS[1], timeout=60.0
-            )
-            assert result == EXPECTED[1]
+            with serve_in_thread(workers=1, deadline_s=0.8) as handle:
+                with connect(handle.address) as client:
+                    with pytest.raises(ServeError, match="workers killed"):
+                        client.run(**req)
+                    # respawned pool serves the next submission
+                    result = client.run(**req)["result"]
+                    stats = client.stats()
         finally:
             faults.disarm()
-            evaluator.close()
+        assert result["results"]["a"] == EXPECTED[1]
+        assert stats["deadlines"] == 1
+        assert stats["worker_kills"] >= 1

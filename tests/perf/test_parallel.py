@@ -7,11 +7,24 @@ import os
 import pytest
 
 from repro.obs import observe
-from repro.perf.parallel import ParallelEvaluator, resolve_jobs
+from repro.perf.parallel import (
+    MAX_POOL_FAILURES,
+    ParallelEvaluator,
+    resolve_jobs,
+)
 
 
 def _square(x):
     return x * x
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+def _used_pool(evaluator, n=2):
+    """Whether a map over ``n`` items ran in worker processes."""
+    return os.getpid() not in evaluator.map(_pid, range(n))
 
 
 def _boom(x):
@@ -33,12 +46,12 @@ class TestSerialPath:
     def test_jobs1_maps_in_order(self):
         evaluator = ParallelEvaluator(jobs=1)
         assert evaluator.map(_square, [3, 1, 2]) == [9, 1, 4]
-        assert not evaluator.last_used_pool
+        assert not _used_pool(evaluator)
 
     def test_single_item_stays_serial(self):
         evaluator = ParallelEvaluator(jobs=4)
         assert evaluator.map(_square, [5]) == [25]
-        assert not evaluator.last_used_pool
+        assert evaluator.map(_pid, [0]) == [os.getpid()]
 
     def test_empty(self):
         assert ParallelEvaluator(jobs=4).map(_square, []) == []
@@ -65,26 +78,26 @@ class TestPoolPath:
         # a lambda cannot be pickled by reference; the evaluator must
         # degrade to the serial loop instead of raising
         assert evaluator.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        assert not evaluator.last_used_pool
+        assert evaluator._pool_failures == 1
         assert not evaluator.pool_broken  # one failure != broken
         # a picklable map afterwards uses the pool again (and resets
         # the failure budget)
-        assert evaluator.map(_square, [2, 3]) == [4, 9]
-        assert evaluator.last_used_pool
+        assert _used_pool(evaluator)
         assert evaluator._pool_failures == 0
+        assert evaluator._persistent is None  # map closed its pool
 
     def test_failure_budget_latches_serial(self):
-        evaluator = ParallelEvaluator(jobs=2, max_pool_failures=2)
-        for _ in range(2):
+        evaluator = ParallelEvaluator(jobs=2)
+        for _ in range(MAX_POOL_FAILURES):
+            assert not evaluator.pool_broken
             assert evaluator.map(lambda x: x, [1, 2]) == [1, 2]
         assert evaluator.pool_broken
         # budget exhausted: even picklable work stays serial now
         assert evaluator.map(_square, [2, 3]) == [4, 9]
-        assert not evaluator.last_used_pool
-        # until the caller explicitly forgives
-        evaluator.reset_pool()
-        assert evaluator.map(_square, [2, 3]) == [4, 9]
-        assert evaluator.last_used_pool
+        assert not _used_pool(evaluator)
+        # until a pooled success is reported
+        evaluator.note_pool_success()
+        assert _used_pool(evaluator)
 
     def test_worker_crash_recovers_on_next_map(self):
         evaluator = ParallelEvaluator(jobs=2)
@@ -95,11 +108,10 @@ class TestPoolPath:
             parent,
             parent,
         ]
-        assert not evaluator.last_used_pool
         assert evaluator._pool_failures == 1
         # the next map re-creates a fresh pool instead of latching
         assert evaluator.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert evaluator.last_used_pool
+        assert _used_pool(evaluator)
         assert evaluator._pool_failures == 0
 
 
@@ -122,7 +134,12 @@ class TestPersistentSubmit:
             started = evaluator.start_pool()
             assert started in (0, 1)  # 0 only without a usable fork
             result, obs = evaluator.submit(_square, 6).result()
-            assert result == 36 and obs is None  # no obs session active
+            assert result == 36
+            if started:
+                # a real worker, whose dump carries no obs sinks (no
+                # session active) and no cache counters (none touched)
+                assert obs["pid"] != os.getpid()
+                assert obs["metrics"] is None and obs["cache"] == {}
         finally:
             evaluator.close()
 
@@ -154,3 +171,14 @@ class TestPoolMetrics:
         snap = session.metrics.snapshot()
         assert snap["counters"]["perf.pool.tasks"] == 4
         assert snap["gauges"]["perf.pool.workers"] >= 1
+
+    def test_submit_counts_each_task_once(self):
+        with observe() as session:
+            evaluator = ParallelEvaluator(jobs=1)
+            try:
+                for x in (1, 2, 3):
+                    result, obs = evaluator.submit(_square, x).result()
+                    evaluator.fold_obs(obs)
+            finally:
+                evaluator.close()
+        assert session.metrics.snapshot()["counters"]["perf.pool.tasks"] == 3

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.arch.operations import default_costs
 from repro.ir.builder import KernelBuilder
 from repro.sched.predication import PredPlanner
-from repro.sched.schedule import PredRef
+from repro.sched.schedule import PredRef, SchedulingError
 from repro.sched.superblock import build_superblock
 
 
@@ -108,19 +109,20 @@ class TestHazards:
         assert writes[0].key in writes[1].deps
 
 
-class TestPredicates:
-    def build_if_kernel(self):
-        kb = KernelBuilder("k")
-        x = kb.param("x")
-        kb.if_(
-            lambda: kb.cmp("IFGT", kb.read(x), kb.const(0)),
-            lambda: kb.write(x, kb.binop("IADD", kb.read(x), kb.const(1))),
-            lambda: kb.write(x, kb.binop("ISUB", kb.read(x), kb.const(1))),
-        )
-        return kb.finish(results=[x])
+def if_kernel():
+    kb = KernelBuilder("k")
+    x = kb.param("x")
+    kb.if_(
+        lambda: kb.cmp("IFGT", kb.read(x), kb.const(0)),
+        lambda: kb.write(x, kb.binop("IADD", kb.read(x), kb.const(1))),
+        lambda: kb.write(x, kb.binop("ISUB", kb.read(x), kb.const(1))),
+    )
+    return kb.finish(results=[x])
 
+
+class TestPredicates:
     def test_then_else_sides(self):
-        kernel = self.build_if_kernel()
+        kernel = if_kernel()
         planner = PredPlanner()
         sb = build_superblock(list(kernel.body.items), None, planner)
         preds = {
@@ -134,7 +136,7 @@ class TestPredicates:
         assert len(sb.pairs) == 1
 
     def test_cond_compare_unpredicated(self):
-        kernel = self.build_if_kernel()
+        kernel = if_kernel()
         planner = PredPlanner()
         sb = build_superblock(list(kernel.body.items), None, planner)
         compares = [i for i in sb.items.values() if i.node.is_compare]
@@ -173,7 +175,66 @@ class TestPredicates:
         assert inner_cmp.cond_step.func is CBoxFunc.FORK_AND
 
     def test_priorities_positive_and_chain_ordered(self):
-        kernel = self.build_if_kernel()
+        kernel = if_kernel()
         sb = build_superblock(list(kernel.body.items), None, PredPlanner())
         for item in sb.items.values():
             assert item.priority >= 1
+
+
+def _items_by_node(sb):
+    return {item.node.id: item for item in sb.items.values()}
+
+
+class TestPriorities:
+    """Longest-path priorities (Section V-F) on ``SBItem.priority``."""
+
+    def test_chain_weights_decrease(self):
+        kb = KernelBuilder("k")
+        x = kb.param("x")
+        a = kb.binop("IADD", kb.read(x), kb.const(1))
+        b = kb.binop("IMUL", a, kb.const(2))
+        kb.write(x, b)
+        kernel = kb.finish(results=[x])
+        sb = build_superblock(list(kernel.body.items), None, PredPlanner())
+        items = _items_by_node(sb)
+        # the write fuses into the IMUL: a two-item chain IADD -> IMUL
+        assert set(items) == {a.id, b.id}
+        mul_duration = default_costs("IMUL").duration
+        assert items[b.id].priority == mul_duration
+        assert items[a.id].priority == mul_duration + 1
+
+    def test_independent_chains(self):
+        kb = KernelBuilder("k")
+        x = kb.param("x")
+        y = kb.param("y")
+        long_chain = kb.binop("IADD", kb.read(x), kb.const(1))
+        head = long_chain
+        for _ in range(4):
+            long_chain = kb.binop("IADD", long_chain, kb.const(1))
+        kb.write(x, long_chain)
+        short = kb.binop("IADD", kb.read(y), kb.const(1))
+        kb.write(y, short)
+        kernel = kb.finish(results=[x, y])
+        sb = build_superblock(list(kernel.body.items), None, PredPlanner())
+        items = _items_by_node(sb)
+        assert items[head.id].priority == 5
+        assert items[short.id].priority == 1
+
+    def test_respects_edges(self):
+        kernel = if_kernel()
+        sb = build_superblock(list(kernel.body.items), None, PredPlanner())
+        assert any(sb.succs.values())
+        for key, succs in sb.succs.items():
+            for succ in succs:
+                assert sb.items[key].priority > sb.items[succ].priority
+
+    def test_dependence_cycle_raises(self):
+        kb = KernelBuilder("k")
+        x = kb.param("x")
+        add = kb.binop("IADD", kb.read(x), kb.const(1))
+        mul = kb.binop("IMUL", add, kb.const(2))
+        kb.write(x, mul)
+        kernel = kb.finish(results=[x])
+        add.deps.append(mul)  # artificial cycle: add <-> mul
+        with pytest.raises(SchedulingError, match="dependence cycle"):
+            build_superblock(list(kernel.body.items), None, PredPlanner())

@@ -186,3 +186,23 @@ class TestZipfGenerator:
 
     def test_different_seeds_differ(self):
         assert zipf_ranks(100, 8, seed=1) != zipf_ranks(100, 8, seed=2)
+
+
+class TestPooledStats:
+    def test_schedule_cache_stats_reflect_the_workers(self, tmp_path):
+        """With a worker pool, ``stats.schedule_cache`` counts the
+        workers' cache traffic, not the idle parent's."""
+        with serve_in_thread(workers=1, cache_dir=str(tmp_path)) as handle:
+            with connect(handle.address) as client:
+                client.run("gcd", "mesh4")
+                client.run("gcd", "mesh4")  # memo: no job at all
+                # a new live-in is a new job on the same schedule
+                client.run("gcd", "mesh4", livein={"a": 97, "b": 13})
+                client.run("dotp", "mesh4")
+                stats = client.stats()
+        assert stats["memo_hits"] == 1
+        assert (stats["schedule_computed"], stats["schedule_cache_hits"]) \
+            == (2, 1)
+        cache = stats["schedule_cache"]
+        assert cache["hits"] == stats["schedule_cache_hits"]
+        assert cache["misses"] == stats["schedule_computed"]
