@@ -12,11 +12,8 @@ processes and ``--cache-dir DIR`` reuses schedules across runs through
 the content-addressed schedule cache — both produce byte-identical
 results to the serial uncached path; see docs/performance.md.
 
-``--sim-backend`` selects the simulator executor: the AOT-``compiled``
-backend (default — context programs are lowered once to pre-bound step
-records and fused traces) or the per-cycle ``interpreter`` reference.
-Results are identical.  ``--max-cycles`` tightens the per-run runaway
-bound below the 50M default.
+``--max-cycles`` tightens the per-run runaway bound below the 50M
+default.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from repro.eval.tables import (
 )
 from repro.kernels.adpcm import N_SAMPLES
 from repro.obs import observe, timed
-from repro.sim.machine import SIM_BACKENDS
 
 
 def _run_eval(
@@ -51,7 +47,6 @@ def _run_eval(
     jobs: int = 1,
     cache_dir=None,
     cache_max_bytes=None,
-    sim_backend: str = "compiled",
     max_cycles=None,
     scheduler_mode: str = "list",
     compare_schedulers: bool = False,
@@ -60,7 +55,6 @@ def _run_eval(
         "jobs": jobs,
         "cache_dir": cache_dir,
         "cache_max_bytes": cache_max_bytes,
-        "backend": sim_backend,
         "scheduler_mode": scheduler_mode,
     }
     if max_cycles is not None:
@@ -192,13 +186,6 @@ def main(argv=None) -> int:
         "are LRU-evicted once the store exceeds the budget",
     )
     parser.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default="compiled",
-        help="simulator executor: AOT-compiled traces (default) or the "
-        "per-cycle reference interpreter; results are identical",
-    )
-    parser.add_argument(
         "--max-cycles",
         type=int,
         default=None,
@@ -235,7 +222,6 @@ def main(argv=None) -> int:
         "jobs": args.jobs,
         "cache_dir": args.cache_dir,
         "cache_max_bytes": args.cache_max_bytes,
-        "sim_backend": args.sim_backend,
         "max_cycles": args.max_cycles,
         "scheduler_mode": args.scheduler_mode,
         "compare_schedulers": args.compare_schedulers,

@@ -37,13 +37,7 @@ from repro.kernels.adpcm import (
 from repro.perf.cache import ScheduleCache
 from repro.perf.parallel import ParallelEvaluator
 from repro.sched.strategy import DEFAULT_SCHEDULER_MODE
-from repro.serve.jobs import (
-    CACHE_FORMAT,
-    DEFAULT_SIM_BACKEND,
-    JobResult,
-    JobSpec,
-    execute_job,
-)
+from repro.serve.jobs import JobResult, JobSpec, execute_job
 from repro.sim.machine import DEFAULT_MAX_CYCLES
 
 __all__ = [
@@ -116,7 +110,6 @@ def _adpcm_spec(
     cached: bool = False,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
-    backend: str = DEFAULT_SIM_BACKEND,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     scheduler_mode: str = DEFAULT_SCHEDULER_MODE,
 ) -> JobSpec:
@@ -129,7 +122,6 @@ def _adpcm_spec(
         cached=cached,
         cache_dir=cache_dir,
         cache_max_bytes=cache_max_bytes,
-        backend=backend,
         max_cycles=max_cycles,
         scheduler_mode=scheduler_mode,
         ledger_kind="grid.cell",
@@ -164,7 +156,6 @@ def run_adpcm_on(
     n_samples: int = N_SAMPLES,
     unroll: int = UNROLL_FACTOR,
     cache: Optional[ScheduleCache] = None,
-    backend: str = DEFAULT_SIM_BACKEND,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     scheduler_mode: str = DEFAULT_SCHEDULER_MODE,
 ) -> CompositionRun:
@@ -173,7 +164,6 @@ def run_adpcm_on(
         comp,
         n_samples=n_samples,
         unroll=unroll,
-        backend=backend,
         max_cycles=max_cycles,
         scheduler_mode=scheduler_mode,
     )
@@ -190,7 +180,6 @@ def run_grid(
     cache_dir: Optional[str] = None,
     cached: bool = False,
     cache_max_bytes: Optional[int] = None,
-    backend: str = DEFAULT_SIM_BACKEND,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     scheduler_mode: str = DEFAULT_SCHEDULER_MODE,
 ) -> Dict[str, CompositionRun]:
@@ -202,11 +191,10 @@ def run_grid(
     the cells over a process pool (deterministic ordering, serial
     fallback); ``cache_dir``/``cached`` route scheduling through the
     content-addressed schedule cache (``cache_max_bytes`` bounds the
-    on-disk artifact store, LRU-evicting oldest entries);
-    ``backend`` selects the simulator executor (AOT-compiled by
-    default).  Results are identical to the serial uncached
-    interpreter loop in all configurations.  ``max_cycles`` tightens
-    the per-run runaway bound below the 50M default.
+    on-disk artifact store, LRU-evicting oldest entries).  Results are
+    identical to the serial uncached interpreter loop in all
+    configurations.  ``max_cycles`` tightens the per-run runaway bound
+    below the 50M default.
     """
     cached = cached or cache_dir is not None
     specs = [
@@ -218,7 +206,6 @@ def run_grid(
             cached=cached,
             cache_dir=cache_dir,
             cache_max_bytes=cache_max_bytes,
-            backend=backend,
             max_cycles=max_cycles,
             scheduler_mode=scheduler_mode,
         )

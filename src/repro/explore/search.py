@@ -25,19 +25,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.arch.composition import MAX_DMA_PES, Composition
 from repro.arch.interconnect import Interconnect
 from repro.arch.pe import PEDescription
-from repro.context.generator import generate_contexts
 from repro.fpga import estimate
 from repro.ir.cdfg import Kernel
 from repro.perf.cache import shared_cache
 from repro.perf.parallel import ParallelEvaluator
 from repro.sched.schedule import SchedulingError
-from repro.sched.scheduler import schedule_kernel
+from repro.serve.jobs import DEFAULT_SIM_BACKEND, build_program
 from repro.sim.invocation import invoke_kernel
 
 __all__ = ["Workload", "Evaluation", "ExplorationResult", "CompositionExplorer"]
-
-#: cache-format tag for explorer-cached programs (see repro.eval.tables)
-_CACHE_FORMAT = 1
 
 
 def _workload_task(task) -> Tuple[str, Optional[int]]:
@@ -46,35 +42,19 @@ def _workload_task(task) -> Tuple[str, Optional[int]]:
     Module-level so :class:`~repro.perf.parallel.ParallelEvaluator` can
     ship it to pool workers.  Returns ``(workload name, cycles or None)``.
     """
-    (name, kernel, comp, livein, arrays, cached, cache_dir, backend,
-     scheduler_mode) = task
+    name, kernel, comp, livein, arrays, cached, cache_dir, scheduler_mode = task
     cache = shared_cache(cache_dir) if cached else None
     try:
-        if cache is None:
-            program = None
-        else:
-
-            def _compute():
-                schedule = schedule_kernel(
-                    kernel, comp, scheduler_mode=scheduler_mode
-                )
-                return generate_contexts(schedule, comp, kernel)
-
-            program, _hit = cache.get_or_compute(
-                kernel,
-                comp,
-                _compute,
-                fmt=_CACHE_FORMAT,
-                scheduler_mode=scheduler_mode,
-            )
+        program, _hit = build_program(
+            kernel, comp, scheduler_mode=scheduler_mode, cache=cache
+        )
         res = invoke_kernel(
             kernel,
             comp,
             dict(livein),
             {k: list(v) for k, v in arrays.items()},
             program=program,
-            backend=backend,
-            scheduler_mode=scheduler_mode,
+            backend=DEFAULT_SIM_BACKEND,
         )
         cycles: Optional[int] = res.run_cycles
     except SchedulingError:
@@ -161,16 +141,13 @@ class CompositionExplorer:
         jobs: int = 1,
         cache: bool = False,
         cache_dir: Optional[str] = None,
-        sim_backend: str = "compiled",
         scheduler_mode: str = "list",
     ) -> None:
         """``jobs > 1`` schedules a candidate's workloads on a process
         pool; ``cache=True`` (or a ``cache_dir``) memoises schedules by
         content address, so hill-climbing restarts that revisit a genome
-        skip scheduling entirely.  ``sim_backend`` selects the simulator
-        executor (AOT-compiled by default — candidate evaluation is
-        simulation-bound).  All knobs leave every evaluation result
-        identical to the serial uncached interpreter path."""
+        skip scheduling entirely.  Both knobs leave every evaluation
+        result identical to the serial uncached path."""
         if not workloads:
             raise ValueError("need at least one workload")
         self.workloads = list(workloads)
@@ -187,7 +164,6 @@ class CompositionExplorer:
         self._cached = cache or cache_dir is not None
         self._cache_dir = cache_dir
         self._cache = shared_cache(cache_dir) if self._cached else None
-        self.sim_backend = sim_backend
         from repro.sched.strategy import validate_scheduler_mode
 
         self.scheduler_mode = validate_scheduler_mode(scheduler_mode)
@@ -205,7 +181,7 @@ class CompositionExplorer:
         fpga = estimate(comp)
         tasks = [
             (w.name, w.kernel, comp, w.livein, w.arrays, self._cached,
-             self._cache_dir, self.sim_backend, self.scheduler_mode)
+             self._cache_dir, self.scheduler_mode)
             for w in self.workloads
         ]
         # pooled tasks fold their cache counters back inside map

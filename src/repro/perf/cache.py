@@ -293,6 +293,9 @@ class ScheduleCache:
     # -- stats ----------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
+        """Counters plus the entry count: on-disk entries for a cache
+        with a directory (pool workers fill the store, never this
+        process's memory layer), the memory layer otherwise."""
         out = {
             "hits": self.hits,
             "misses": self.misses,
@@ -301,7 +304,9 @@ class ScheduleCache:
             "corrupt": self.corrupt,
         }
         if self.cache_dir is not None:
-            out["disk_bytes"] = self.disk_bytes()
+            disk = self._disk_entries()
+            out["entries"] = len(disk)
+            out["disk_bytes"] = sum(size for _, _, size in disk)
         return out
 
     def clear(self) -> None:

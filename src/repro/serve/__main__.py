@@ -26,7 +26,6 @@ import signal
 import sys
 
 from repro.serve.server import ScheduleServer
-from repro.sim.machine import SIM_BACKENDS
 
 
 async def _amain(args) -> int:
@@ -34,7 +33,6 @@ async def _amain(args) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
-        backend=args.sim_backend,
         max_cycles=args.max_cycles,
         deadline_s=(
             args.deadline_ms / 1000.0 if args.deadline_ms else None
@@ -82,11 +80,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="BYTES",
         help="LRU size bound for the artifact store",
-    )
-    parser.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default="compiled",
     )
     parser.add_argument(
         "--max-cycles", type=int, default=None, metavar="N",

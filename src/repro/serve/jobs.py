@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.arch.composition import Composition
 from repro.arch.operations import energy_units
 from repro.context.generator import generate_contexts
+from repro.context.words import ContextProgram
 from repro.ir.cdfg import Kernel
 from repro.obs.ledger import get_ledger, pipeline_record
 from repro.obs.timing import timed
@@ -40,26 +41,24 @@ from repro.perf.fingerprint import composition_fingerprint, program_digest
 from repro.sched.scheduler import schedule_kernel
 from repro.sched.strategy import DEFAULT_SCHEDULER_MODE, validate_scheduler_mode
 from repro.sim.invocation import invoke_kernel
-from repro.sim.machine import DEFAULT_MAX_CYCLES
+from repro.sim.machine import DEFAULT_MAX_CYCLES, DEFAULT_SIM_BACKEND
 from repro.verify import verify_enabled
 
 __all__ = [
+    "DEFAULT_SIM_BACKEND",
     "JobSpec",
     "JobResult",
     "ResolvedJob",
+    "build_program",
     "execute_job",
     "register_workload",
     "resolve_workload",
     "job_payload",
 ]
 
-#: cache-format tag for programs cached through the jobs layer (bump to
-#: invalidate cached programs when their format changes; shared with
-#: the historical ``repro.eval.tables.CACHE_FORMAT``)
+#: cache-format tag for programs cached through :func:`build_program`
+#: (bump to invalidate cached programs when their format changes)
 CACHE_FORMAT = 1
-
-#: grid/server jobs simulate on the AOT-compiled backend by default
-DEFAULT_SIM_BACKEND = "compiled"
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class JobSpec:
     params: Tuple[Tuple[str, Any], ...] = ()
     livein: Optional[Tuple[Tuple[str, int], ...]] = None
     arrays: Optional[Tuple[Tuple[str, Tuple[int, ...]], ...]] = None
-    backend: str = DEFAULT_SIM_BACKEND
     max_cycles: int = DEFAULT_MAX_CYCLES
     #: scheduling strategy selector ("list" | "modulo" | "auto");
     #: result-relevant, so it MUST enter :meth:`fingerprint` and the
@@ -114,8 +112,8 @@ class JobSpec:
         Covers everything that can change the result: workload name +
         build params, composition content (via
         :func:`~repro.perf.fingerprint.composition_fingerprint`),
-        explicit inputs, backend and cycle bound.  Cache routing knobs
-        (``cached``/``cache_dir``/…) and the display ``label`` are
+        explicit inputs, cycle bound and scheduler mode.  Cache routing
+        knobs (``cached``/``cache_dir``/…) and the display ``label`` are
         excluded — they change *how* the result is computed, never the
         result itself.
         """
@@ -126,7 +124,6 @@ class JobSpec:
                 composition_fingerprint(self.composition),
                 self.livein,
                 self.arrays,
-                self.backend,
                 self.max_cycles,
                 self.scheduler_mode,
             ],
@@ -248,6 +245,32 @@ def resolve_workload(spec: JobSpec) -> ResolvedJob:
     return job
 
 
+def build_program(
+    kernel: Kernel,
+    comp: Composition,
+    *,
+    scheduler_mode: str = DEFAULT_SCHEDULER_MODE,
+    cache: Optional[ScheduleCache] = None,
+) -> Tuple[ContextProgram, Optional[bool]]:
+    """Schedule ``kernel`` onto ``comp`` and emit its contexts.
+
+    Returns ``(program, cache_hit)``; ``cache_hit`` is ``None`` when no
+    ``cache`` is in play.  With a cache the program is
+    content-addressed: a hit skips scheduling and context generation
+    entirely (byte-identical program, see tests/perf/test_determinism.py).
+    """
+
+    def compute() -> ContextProgram:
+        schedule = schedule_kernel(kernel, comp, scheduler_mode=scheduler_mode)
+        return generate_contexts(schedule, comp, kernel)
+
+    if cache is None:
+        return compute(), None
+    return cache.get_or_compute(
+        kernel, comp, compute, fmt=CACHE_FORMAT, scheduler_mode=scheduler_mode
+    )
+
+
 def execute_job(
     spec: JobSpec, *, cache: Optional[ScheduleCache] = None
 ) -> JobResult:
@@ -266,31 +289,11 @@ def execute_job(
         cache = shared_cache(
             spec.cache_dir, max_bytes=spec.cache_max_bytes
         )
-    cache_hit: Optional[bool] = None
     label = spec.label or f"{spec.workload} on {comp.name}"
     with timed("sched.walltime", label=label) as timer:
-        if cache is None:
-            schedule = schedule_kernel(
-                kernel, comp, scheduler_mode=spec.scheduler_mode
-            )
-            program = generate_contexts(schedule, comp, kernel)
-        else:
-            # content-addressed: a hit skips scheduling + context
-            # generation entirely (byte-identical program, see
-            # tests/perf/test_determinism.py)
-            def _compute():
-                schedule = schedule_kernel(
-                    kernel, comp, scheduler_mode=spec.scheduler_mode
-                )
-                return generate_contexts(schedule, comp, kernel)
-
-            program, cache_hit = cache.get_or_compute(
-                kernel,
-                comp,
-                _compute,
-                fmt=CACHE_FORMAT,
-                scheduler_mode=spec.scheduler_mode,
-            )
+        program, cache_hit = build_program(
+            kernel, comp, scheduler_mode=spec.scheduler_mode, cache=cache
+        )
     sim_t0 = time.perf_counter()
     result = invoke_kernel(
         kernel,
@@ -298,7 +301,7 @@ def execute_job(
         dict(job.livein),
         {name: list(data) for name, data in job.arrays.items()},
         program=program,
-        backend=spec.backend,
+        backend=DEFAULT_SIM_BACKEND,
         max_cycles=spec.max_cycles,
     )
     sim_seconds = time.perf_counter() - sim_t0
@@ -321,7 +324,7 @@ def execute_job(
                 program,
                 schedule_seconds=timer.seconds,
                 cache_hit=cache_hit,
-                backend=spec.backend,
+                backend=DEFAULT_SIM_BACKEND,
                 sim_seconds=sim_seconds,
                 cycles=result.run_cycles,
                 correct=correct,

@@ -60,13 +60,8 @@ from repro.sched.strategy import (
     DEFAULT_SCHEDULER_MODE,
     validate_scheduler_mode,
 )
-from repro.serve.jobs import (
-    DEFAULT_SIM_BACKEND,
-    JobSpec,
-    execute_job,
-    job_payload,
-)
-from repro.sim.machine import DEFAULT_MAX_CYCLES, SIM_BACKENDS
+from repro.serve.jobs import JobSpec, execute_job, job_payload
+from repro.sim.machine import DEFAULT_MAX_CYCLES
 
 __all__ = [
     "ScheduleServer",
@@ -137,7 +132,6 @@ def resolve_composition(spec: str):
 def request_to_spec(
     req: Dict[str, Any],
     *,
-    backend: str = DEFAULT_SIM_BACKEND,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     cache_dir: Optional[str] = None,
     cached: bool = True,
@@ -169,12 +163,6 @@ def request_to_spec(
         validate_scheduler_mode(scheduler_mode)
     except ValueError as exc:
         raise ValueError(str(exc)) from None
-    backend = str(req.get("backend") or backend)
-    if backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(SIM_BACKENDS)}"
-        )
     return JobSpec(
         workload=kernel,
         composition=comp,
@@ -182,7 +170,6 @@ def request_to_spec(
         params=tuple(sorted(params.items())),
         livein=JobSpec.freeze_livein(livein),
         arrays=JobSpec.freeze_arrays(arrays),
-        backend=backend,
         max_cycles=int(req.get("max_cycles") or max_cycles),
         scheduler_mode=scheduler_mode,
         cached=cached,
@@ -206,7 +193,6 @@ class ScheduleServer:
         workers: int = 1,
         cache_dir: Optional[str] = None,
         cache_max_bytes: Optional[int] = None,
-        backend: str = DEFAULT_SIM_BACKEND,
         max_cycles: int = DEFAULT_MAX_CYCLES,
         result_memo: int = 4096,
         deadline_s: Optional[float] = None,
@@ -216,7 +202,6 @@ class ScheduleServer:
         self.workers = workers
         self.cache_dir = cache_dir
         self.cache_max_bytes = cache_max_bytes
-        self.backend = backend
         self.max_cycles = max_cycles
         #: default per-job wall-clock budget (``None`` = unbounded);
         #: requests may tighten it with a ``deadline_ms`` field
@@ -506,7 +491,6 @@ class ScheduleServer:
     ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         spec = request_to_spec(
             req,
-            backend=self.backend,
             max_cycles=self.max_cycles,
             cache_dir=self.cache_dir,
             cached=True,
@@ -724,7 +708,6 @@ class ScheduleServer:
                 program_digest=result.program_digest,
                 cycles=result.run_cycles,
                 cache_hit=result.cache_hit,
-                backend=spec.backend,
             )
         return payload
 
@@ -764,7 +747,6 @@ class ScheduleServer:
         out["inflight"] = len(self._inflight)
         out["result_memo_entries"] = len(self._results)
         out["workers"] = self.workers
-        out["backend"] = self.backend
         out["protocol"] = PROTOCOL_VERSION
         out["draining"] = self._draining
         out["deadline_s"] = self.deadline_s

@@ -23,7 +23,10 @@ backend in :mod:`repro.sim.compiled` (``backend="compiled"``).  Both
 produce identical :class:`RunResult`s, live-outs and heap contents;
 energy is accumulated in integer micro-units
 (:data:`repro.arch.operations.ENERGY_SCALE`) so the totals compare
-bit-equal across backends regardless of summation order.
+bit-equal across backends regardless of summation order.  Every
+production path simulates on :data:`DEFAULT_SIM_BACKEND`; the
+interpreter is the oracle and the only backend that calls
+``cycle_hook``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "RunResult",
     "SimulationError",
     "SIM_BACKENDS",
+    "DEFAULT_SIM_BACKEND",
     "DEFAULT_MAX_CYCLES",
 ]
 
@@ -51,6 +55,10 @@ DEFAULT_MAX_CYCLES = 50_000_000
 
 #: accepted ``backend=`` values
 SIM_BACKENDS = ("interpreter", "compiled")
+
+#: the backend every production path (jobs, server, eval, explorer,
+#: mutation oracle) simulates on; the interpreter stays the reference
+DEFAULT_SIM_BACKEND = "compiled"
 
 
 class SimulationError(Exception):
@@ -125,6 +133,11 @@ class CGRASimulator:
     # -- execution ------------------------------------------------------------
 
     def run(self, start_ccnt: int = 0) -> RunResult:
+        if self.cycle_hook is not None and self.backend != "interpreter":
+            raise ValueError(
+                f"cycle_hook needs the interpreter backend, not "
+                f"{self.backend!r}"
+            )
         tracer = get_tracer()
         with tracer.span(
             "sim.run",

@@ -34,7 +34,6 @@ import sys
 from repro.obs import observe
 from repro.obs.__main__ import resolve_composition
 from repro.obs.ledger import RunLedger, pipeline_record, set_ledger
-from repro.sim.machine import SIM_BACKENDS
 from repro.verify import set_verify_enabled, verify_program
 from repro.verify.mutate import run_mutation_campaign
 from repro.verify.workloads import WORKLOADS, get_workload
@@ -71,13 +70,6 @@ def main(argv=None) -> int:
         "--mutate",
         action="store_true",
         help="run the mutation fault-injection campaign",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=SIM_BACKENDS,
-        default="interpreter",
-        help="simulator backend for the dynamic oracle (default: "
-        "interpreter)",
     )
     parser.add_argument(
         "--scheduler",
@@ -164,7 +156,6 @@ def _run_checks(args, workloads, comps, ledger) -> int:
         report = run_mutation_campaign(
             workloads,
             comps,
-            backend=args.backend,
             scheduler_mode=args.scheduler,
             progress=print,
         )
@@ -179,7 +170,6 @@ def _run_checks(args, workloads, comps, ledger) -> int:
                     caught_dynamic=cell.count("caught_dynamic"),
                     equivalent=cell.count("equivalent"),
                     escaped=cell.count("escaped"),
-                    backend=args.backend,
                     scheduler_mode=args.scheduler,
                 )
         print()

@@ -60,7 +60,11 @@ from repro.arch.composition import Composition
 from repro.arch.operations import OPS, wrap32
 from repro.context.generator import generate_contexts
 from repro.context.words import ContextProgram, PEContext
-from repro.sim.machine import CGRASimulator, SimulationError
+from repro.sim.machine import (
+    DEFAULT_SIM_BACKEND,
+    CGRASimulator,
+    SimulationError,
+)
 from repro.sim.memory import Heap, HeapError
 from repro.verify.checker import verify_program
 from repro.verify.workloads import InputVector, Workload
@@ -915,15 +919,13 @@ def _execute(
     vector: InputVector,
     *,
     max_cycles: int,
-    backend: str,
     trace: Optional[List] = None,
 ) -> _Signature:
     """Run one invocation; return the full architectural-state signature.
 
     When ``trace`` is a list, the run uses the interpreter's per-cycle
     hook to append ``(ccnt, register files)`` after every executed
-    cycle — the raw material for the weak-mutation use-trace check
-    (interpreter backend only).
+    cycle — the raw material for the weak-mutation use-trace check.
     """
     heap = Heap()
     for ref in program.arrays:
@@ -931,6 +933,8 @@ def _execute(
         if data is None:
             raise KeyError(f"vector missing contents for array {ref.name!r}")
         heap.allocate(ref.handle, list(data))
+    # only the interpreter calls cycle_hook, so trace replays run there
+    backend = DEFAULT_SIM_BACKEND if trace is None else "interpreter"
     sim = CGRASimulator(
         comp, program, heap, max_cycles=max_cycles, backend=backend
     )
@@ -974,13 +978,13 @@ def classify_mutants(
     comp: Composition,
     vectors: Sequence[InputVector],
     *,
-    backend: str = "interpreter",
     mutants: Optional[Sequence[Mutant]] = None,
 ) -> List[MutantResult]:
     """Classify every mutant of ``program`` against the baseline runs.
 
     The dynamic oracle re-executes each mutant once per input vector on
-    ``backend`` and stops at the first vector that traps or diverges.
+    :data:`~repro.sim.machine.DEFAULT_SIM_BACKEND` and stops at the
+    first vector that traps or diverges.
     """
     from repro.obs import get_metrics, get_tracer
 
@@ -1001,7 +1005,6 @@ def classify_mutants(
             comp,
             vector,
             max_cycles=RUNAWAY_FACTOR * 10_000_000,
-            backend=backend,
         )
         baselines.append(sig)
         bound = max(bound, sig[2])
@@ -1019,7 +1022,6 @@ def classify_mutants(
                 comp,
                 vectors[i],
                 max_cycles=max_cycles,
-                backend="interpreter",
                 trace=raw,
             )
             baseline_raws[i] = raw
@@ -1041,7 +1043,6 @@ def classify_mutants(
                 vectors,
                 baselines,
                 max_cycles,
-                backend,
                 baseline_raw,
             )
             results.append(
@@ -1068,7 +1069,6 @@ def _classify_one(
     vectors: Sequence[InputVector],
     baselines: Sequence[_Signature],
     max_cycles: int,
-    backend: str,
     baseline_raw,
 ) -> Tuple[str, str]:
     findings = verify_program(mutant.program, comp)
@@ -1082,7 +1082,6 @@ def _classify_one(
                 comp,
                 vector,
                 max_cycles=max_cycles,
-                backend=backend,
             )
         except (
             SimulationError,
@@ -1116,7 +1115,6 @@ def _classify_one(
             comp,
             vector,
             max_cycles=max_cycles,
-            backend="interpreter",
             trace=raw,
         )
         base_raw = baseline_raw(i)
@@ -1145,7 +1143,6 @@ def run_mutation_campaign(
     workloads: Sequence[Workload],
     comps: Sequence[Composition],
     *,
-    backend: str = "interpreter",
     scheduler_mode: str = "list",
     progress=None,
 ) -> CampaignReport:
@@ -1168,7 +1165,6 @@ def run_mutation_campaign(
         "verify.campaign",
         workloads=len(workloads),
         compositions=len(comps),
-        backend=backend,
         scheduler_mode=scheduler_mode,
     ):
         for workload in workloads:
@@ -1183,9 +1179,7 @@ def run_mutation_campaign(
                         kernel, comp, scheduler_mode=scheduler_mode
                     )
                     program = generate_contexts(schedule, comp, kernel)
-                    results = classify_mutants(
-                        program, comp, workload.vectors, backend=backend
-                    )
+                    results = classify_mutants(program, comp, workload.vectors)
                 cell = CellReport(
                     kernel=workload.name, composition=comp.name, results=results
                 )

@@ -41,7 +41,6 @@ class TestFingerprint:
         assert (
             _spec(composition=mesh_composition(9)).fingerprint() != base
         )
-        assert _spec(backend="interpreter").fingerprint() != base
         assert _spec(max_cycles=1000).fingerprint() != base
         assert _spec(livein=(("a", 5),)).fingerprint() != base
         assert _spec(params=(("unroll", 1),)).fingerprint() != base

@@ -109,13 +109,9 @@ class TestRequestParsing:
                 }
             )
 
-    def test_unknown_backend_is_a_value_error(self):
-        # rejected at parse time, before admission, not inside a worker
-        with pytest.raises(ValueError, match="backend"):
-            request_to_spec(
-                {
-                    "kernel": "dotp",
-                    "composition": "mesh4",
-                    "backend": "vector",
-                }
-            )
+    def test_backend_field_is_ignored(self):
+        # the simulator is not a request option: a stale "backend" field
+        # is an unknown field, ignored like any other
+        req = {"kernel": "dotp", "composition": "mesh4"}
+        spec = request_to_spec(dict(req, backend="vector"))
+        assert spec.fingerprint() == request_to_spec(req).fingerprint()

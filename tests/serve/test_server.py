@@ -206,3 +206,4 @@ class TestPooledStats:
         cache = stats["schedule_cache"]
         assert cache["hits"] == stats["schedule_cache_hits"]
         assert cache["misses"] == stats["schedule_computed"]
+        assert cache["entries"] == 2

@@ -441,6 +441,23 @@ class TestPlumbing:
                 kernel, mesh_composition(4), {"a": 4, "b": 2}, backend="jit"
             )
 
+    def test_cycle_hook_needs_the_interpreter(self):
+        # a hook the compiled backend would never call must not pass
+        # silently: mutation replay would compare two empty traces
+        kernel = gcd.build_kernel()
+        comp = mesh_composition(4)
+        program = generate_contexts(schedule_kernel(kernel, comp), comp, kernel)
+        seen = []
+        for backend in ("interpreter", "compiled"):
+            sim = CGRASimulator(comp, program, backend=backend)
+            sim.cycle_hook = seen.append
+            if backend == "interpreter":
+                sim.run()
+            else:
+                with pytest.raises(ValueError, match="cycle_hook"):
+                    sim.run()
+        assert seen
+
     def test_compile_is_memoised(self):
         kernel = gcd.build_kernel()
         comp = mesh_composition(4)
